@@ -5,14 +5,16 @@
 //! Each cell runs the full simulation once per shard count — always on the
 //! single-threaded engine (`shards=1`), and additionally on the pod-sharded
 //! multi-core engine when `--shards N` (N > 1) is given — and reports
-//! events/sec, wall-clock, speedup over the single-threaded run of the same
-//! cell, peak calendar-queue length and peak packet-arena occupancy (summed
-//! across shard arenas), all lifted from the same run-manifest plumbing
-//! every other bench binary uses. The sweep is written to
-//! `BENCH_netsim.json` — committed at the repo root so the perf trajectory
-//! of the reproduction is diffable across commits, and consumed by the CI
-//! perf-smoke job which fails the build if throughput regresses below 50%
-//! of the committed baseline.
+//! wall-clock, packet-hops and hops/sec beside events/sec, speedup over the
+//! single-threaded run of the same cell, peak calendar-queue length and
+//! peak packet-arena occupancy (summed across shard arenas), all lifted
+//! from the same run-manifest plumbing every other bench binary uses.
+//! Hops/sec is the engine-neutral throughput: events/sec moves whenever the
+//! link model spends a different number of events per hop. The sweep is
+//! written to `BENCH_netsim.json` — committed at the repo root so the perf
+//! trajectory of the reproduction is diffable across commits, and consumed
+//! by the CI perf-smoke job which fails the build if a cell's wall-clock
+//! exceeds twice the committed one.
 //!
 //! ```sh
 //! cargo run --release -p sv2p-bench --bin sv2p-perfbench [-- --seed N] [-- --full] [-- --shards N]
@@ -36,6 +38,9 @@ struct Cell {
     events: u64,
     wall_clock_s: f64,
     events_per_sec: f64,
+    /// Packet-hops (link traversals) the run executed.
+    hops: u64,
+    hops_per_sec: f64,
     speedup: f64,
     peak_queue: u64,
     peak_arena: u64,
@@ -53,9 +58,10 @@ struct Cell {
     window_count: u64,
     /// Cut-link events exchanged between shards (0 single-threaded).
     cut_events: u64,
-    /// Peak RSS over this cell alone: the kernel watermark is reset before
-    /// each cell (`cli::reset_peak_rss`), so cells don't inherit an earlier
-    /// cell's high-water mark.
+    /// Peak RSS over this cell alone: before each cell the allocator
+    /// returns free heap pages to the OS and the kernel watermark is reset
+    /// (`cli::reset_peak_rss`), so cells inherit neither an earlier cell's
+    /// high-water mark nor the heap it left free.
     peak_rss_bytes: u64,
     /// VMs placed in this cell's topology.
     placed_vms: u64,
@@ -68,12 +74,30 @@ struct Cell {
     mapping_bytes: u64,
 }
 
+/// Returns free heap pages to the OS, so the watermark reset that follows
+/// starts from the memory live objects actually use.
+fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's `malloc_trim` takes no pointers and only returns
+        // free pages of the malloc heaps to the kernel; it is safe to call
+        // at any time from any thread.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
 fn run_cell(
     spec: &ExperimentSpec,
     workload: &'static str,
     topology: &'static str,
     baseline_eps: Option<f64>,
 ) -> Cell {
+    release_free_heap();
     cli::reset_peak_rss();
     let mut sim = spec.build();
     let start = std::time::Instant::now();
@@ -83,6 +107,8 @@ fn run_cell(
     cli::record_run(spec, &sim, &s, wall);
     let events = sim.events_executed();
     let eps = events as f64 / wall.max(1e-9);
+    let hops = sim.hops();
+    let hops_per_sec = hops as f64 / wall.max(1e-9);
     let shards = sim.shards() as u64;
     let placed_vms = sim.placement().len() as u64;
     let mapping_bytes =
@@ -100,12 +126,14 @@ fn run_cell(
         (0.0, 0.0, 0.0, 0.0)
     };
     println!(
-        "  {:<12} {:<14} x{:<2} {:>12} events {:>12.0} ev/s  speedup {:>5.2}x  wall {:>7.3}s  peak-q {:>7}  peak-arena {:>6}  windows {:>7}  cuts {:>8}  barrier {:>4.1}%  merge {:>4.1}%  cut-xchg {:>4.1}%  cv {:.2}",
+        "  {:<12} {:<14} x{:<2} {:>12} events {:>12.0} ev/s {:>11} hops {:>11.0} hops/s  speedup {:>5.2}x  wall {:>7.3}s  peak-q {:>7}  peak-arena {:>6}  windows {:>7}  cuts {:>8}  barrier {:>4.1}%  merge {:>4.1}%  cut-xchg {:>4.1}%  cv {:.2}",
         workload,
         spec.strategy.name(),
         shards,
         events,
         eps,
+        hops,
+        hops_per_sec,
         speedup,
         wall,
         sim.peak_queue(),
@@ -131,6 +159,8 @@ fn run_cell(
         events,
         wall_clock_s: wall,
         events_per_sec: eps,
+        hops,
+        hops_per_sec,
         speedup,
         peak_queue: sim.peak_queue() as u64,
         peak_arena: sim.peak_arena() as u64,
@@ -287,7 +317,7 @@ fn main() {
     // JSON object per cell (the vendored serde is a stub; JsonObj is the
     // workspace-wide serializer).
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"sv2p-perfbench/v5\",\n");
+    out.push_str("{\n  \"schema\": \"sv2p-perfbench/v6\",\n");
     out.push_str(&format!("  \"scale\": \"{}\",\n", cli::scale_str()));
     out.push_str(&format!("  \"seed\": {},\n", args.seed()));
     out.push_str(&format!("  \"host_cores\": {},\n", cli::host_cores()));
@@ -301,6 +331,8 @@ fn main() {
             .u64("events_processed", c.events)
             .f64("wall_clock_s", c.wall_clock_s)
             .f64("events_per_sec", c.events_per_sec)
+            .u64("hops", c.hops)
+            .f64("hops_per_sec", c.hops_per_sec)
             .f64("speedup", c.speedup)
             .u64("peak_queue", c.peak_queue)
             .u64("peak_arena", c.peak_arena)

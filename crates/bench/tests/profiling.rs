@@ -160,6 +160,10 @@ fn single_loop_report_covers_dispatch_phases() {
     // Dispatch time is attributed per event class; the workload above
     // certainly sends UDP/TCP traffic over links.
     assert!(prof.phase_calls(Phase::LinkArrival) > 0, "no arrivals timed");
+    // Every packet-hop is one arrival event; the analytic link model
+    // schedules no transmitter events, so the retired phase stays empty.
+    assert_eq!(prof.phase_calls(Phase::LinkArrival), sim.hops());
+    assert_eq!(prof.phase_calls(Phase::LinkFree), 0, "LinkFree is retired");
     let mut total = prof.frac(Phase::Pop);
     for p in [
         Phase::FlowStart,

@@ -169,6 +169,14 @@ impl Engine {
         }
     }
 
+    /// Packet-hops so far (identical across engines).
+    pub fn hops(&self) -> u64 {
+        match self {
+            Engine::Single(s) => s.hops(),
+            Engine::Sharded(s) => s.hops(),
+        }
+    }
+
     /// Pending-event high-water mark of the global calendar.
     pub fn peak_queue(&self) -> usize {
         match self {

@@ -27,6 +27,8 @@ pub mod engine;
 pub mod faults;
 pub mod flows;
 pub mod link;
+#[cfg(test)]
+mod link_oracle;
 pub mod sharded;
 pub mod sim;
 mod wire;

@@ -1,21 +1,27 @@
-//! Store-and-forward links with drop-tail egress queues.
+//! Store-and-forward links with drop-tail egress queues, in closed form.
 //!
 //! Each directed link owns the egress queue of its sending port. A packet
 //! occupies the transmitter for its serialization time and arrives at the
 //! receiver one propagation delay after transmission completes — the classic
 //! output-queued switch model NS3's point-to-point devices use.
 //!
-//! Links queue [`PacketRef`] handles, not packets: the packet body stays in
-//! the simulation's [`crate::arena::PacketArena`]. The wire size is sampled
-//! once at enqueue (it cannot change while queued — only node logic rewrites
-//! headers, and a queued packet is owned by the link) and carried next to
-//! the handle so serialization math never touches the arena.
+//! A FIFO port with a fixed line rate needs no transmitter events: at
+//! enqueue, a packet starts transmitting at `max(now, busy_until)`, frees the
+//! wire one serialization later, and arrives one propagation delay after
+//! that. [`LinkState::enqueue`] returns that arrival instant, and the caller
+//! schedules the arrival event directly. The link keeps only what the
+//! drop-tail test needs: `(tx_start, wire bytes)` of the accepted packets
+//! that had not started transmitting at the last enqueue, trimmed lazily.
+//!
+//! **Tie rule.** A packet whose `tx_start` equals `now` still counts as
+//! queued. This reproduces the retired two-event model (a `LinkFree` event
+//! at tx-end), in which an arrival at a tx-end instant popped before that
+//! port's `LinkFree`: arrivals are scheduled at least a propagation delay
+//! ahead, a `LinkFree` only one serialization ahead.
 
 use std::collections::VecDeque;
 
 use sv2p_simcore::{SimDuration, SimTime};
-
-use crate::arena::PacketRef;
 
 /// Runtime state of one directed link.
 #[derive(Debug)]
@@ -26,13 +32,15 @@ pub struct LinkState {
     pub delay: SimDuration,
     /// Buffer limit in bytes (drop-tail beyond it).
     pub buffer_bytes: u64,
-    /// Queued `(packet, wire bytes)` awaiting transmission (the head entry
-    /// is the one on the wire).
-    queue: VecDeque<(PacketRef, u32)>,
-    /// Bytes currently queued.
-    queued_bytes: u64,
-    /// True while a packet is being serialized.
-    busy: bool,
+    /// `(tx_start, wire bytes)` of accepted packets waiting for the wire,
+    /// in FIFO (so `tx_start`) order. Entries with `tx_start < now` have
+    /// started transmitting and are trimmed on the next enqueue.
+    waiting: VecDeque<(SimTime, u32)>,
+    /// Sum of the wire bytes in `waiting`.
+    waiting_bytes: u64,
+    /// Instant the transmitter finishes the last accepted packet; `None`
+    /// before the first one.
+    busy_until: Option<SimTime>,
     /// Drops due to a full buffer.
     pub drops: u64,
     /// Injected loss probability per enqueued packet (sum of the active
@@ -45,13 +53,8 @@ pub struct LinkState {
 /// What [`LinkState::enqueue`] decided.
 #[derive(Debug, PartialEq, Eq)]
 pub enum EnqueueOutcome {
-    /// The link was idle: start transmitting now. Contains the serialization
-    /// time; arrival fires after `ser + delay`, the transmitter frees after
-    /// `ser`.
-    StartTx(SimDuration),
-    /// The packet joined the queue; transmission will start when the wire
-    /// frees up.
-    Queued,
+    /// The packet was accepted and arrives at the far end at this instant.
+    Arrives(SimTime),
     /// Buffer full; the packet was dropped (the caller frees it).
     Dropped,
     /// The packet was discarded by injected stochastic loss before reaching
@@ -66,9 +69,9 @@ impl LinkState {
             bandwidth_bps,
             delay,
             buffer_bytes,
-            queue: VecDeque::new(),
-            queued_bytes: 0,
-            busy: false,
+            waiting: VecDeque::new(),
+            waiting_bytes: 0,
+            busy_until: None,
             drops: 0,
             loss_rate: 0.0,
             losses: 0,
@@ -80,14 +83,14 @@ impl LinkState {
         SimDuration::serialization(wire_bytes, self.bandwidth_bps)
     }
 
-    /// Offers a packet to the egress port, first exposing it to the link's
-    /// injected loss. `draw` is a uniform sample in `[0, 1)` from the
-    /// simulation's dedicated fault RNG stream; a draw below the active
+    /// Offers a packet to the egress port at `now`, first exposing it to
+    /// the link's injected loss. `draw` is a uniform sample in `[0, 1)` from
+    /// the simulation's dedicated fault RNG stream; a draw below the active
     /// loss rate discards the packet before it reaches the queue (the
     /// corruption/loss point of a real wire).
     pub fn enqueue_with_loss(
         &mut self,
-        pkt: PacketRef,
+        now: SimTime,
         wire_bytes: u32,
         draw: f64,
     ) -> EnqueueOutcome {
@@ -95,59 +98,42 @@ impl LinkState {
             self.losses += 1;
             return EnqueueOutcome::Lost;
         }
-        self.enqueue(pkt, wire_bytes)
+        self.enqueue(now, wire_bytes)
     }
 
-    /// Offers a packet to the egress port.
-    pub fn enqueue(&mut self, pkt: PacketRef, wire_bytes: u32) -> EnqueueOutcome {
-        if !self.busy {
-            self.busy = true;
-            let ser = self.ser_time(wire_bytes);
-            // The in-flight packet sits at the head.
-            self.queue.push_front((pkt, wire_bytes));
-            EnqueueOutcome::StartTx(ser)
-        } else if self.queued_bytes + wire_bytes as u64 <= self.buffer_bytes {
-            self.queued_bytes += wire_bytes as u64;
-            self.queue.push_back((pkt, wire_bytes));
-            EnqueueOutcome::Queued
-        } else {
-            self.drops += 1;
-            EnqueueOutcome::Dropped
-        }
-    }
-
-    /// Transmission of the head packet finished: returns the transmitted
-    /// packet (to schedule its arrival) and, if more are queued, the
-    /// serialization time of the next one (to schedule the next tx-done).
-    pub fn tx_done(&mut self) -> (PacketRef, Option<SimDuration>) {
-        debug_assert!(self.busy, "tx_done on idle link");
-        let (sent, _) = self.queue.pop_front().expect("tx_done with empty queue");
-        match self.queue.front() {
-            Some(&(_, wire)) => {
-                self.queued_bytes -= wire as u64;
-                let ser = self.ser_time(wire);
-                (sent, Some(ser))
+    /// Offers a packet to the egress port at `now`.
+    pub fn enqueue(&mut self, now: SimTime, wire_bytes: u32) -> EnqueueOutcome {
+        while let Some(&(start, wire)) = self.waiting.front() {
+            if start >= now {
+                break;
             }
-            None => {
-                self.busy = false;
-                (sent, None)
-            }
+            self.waiting_bytes -= wire as u64;
+            self.waiting.pop_front();
         }
+        let tx_start = match self.busy_until {
+            // Idle: the packet goes straight onto the wire and never
+            // occupies the buffer.
+            None => now,
+            Some(b) if b < now => now,
+            Some(b) => {
+                if self.waiting_bytes + wire_bytes as u64 > self.buffer_bytes {
+                    self.drops += 1;
+                    return EnqueueOutcome::Dropped;
+                }
+                self.waiting_bytes += wire_bytes as u64;
+                self.waiting.push_back((b, wire_bytes));
+                b
+            }
+        };
+        let tx_end = tx_start + self.ser_time(wire_bytes);
+        self.busy_until = Some(tx_end);
+        EnqueueOutcome::Arrives(tx_end + self.delay)
     }
 
-    /// Arrival time of a packet whose transmission starts at `now`.
-    pub fn arrival_after(&self, ser: SimDuration) -> SimDuration {
-        ser + self.delay
-    }
-
-    /// Queue depth in packets (excludes the in-flight one).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len().saturating_sub(self.busy as usize)
-    }
-
-    /// Arrival instant helper for tests.
-    pub fn arrival_at(&self, now: SimTime, ser: SimDuration) -> SimTime {
-        now + self.arrival_after(ser)
+    /// Queue depth in packets at `now`: accepted packets that have not
+    /// started transmitting (excludes the one on the wire).
+    pub fn queue_len(&self, now: SimTime) -> usize {
+        self.waiting.len() - self.waiting.partition_point(|&(start, _)| start < now)
     }
 }
 
@@ -169,51 +155,76 @@ mod tests {
         )
     }
 
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
     #[test]
     fn idle_link_starts_immediately() {
         let mut l = link();
-        match l.enqueue(PacketRef(0), MSS_WIRE) {
-            EnqueueOutcome::StartTx(ser) => {
-                // 1060 B at 100G = 84.8 -> 85 ns.
-                assert_eq!(ser.as_nanos(), 85);
-                assert_eq!(l.arrival_after(ser).as_nanos(), 1085);
-            }
-            other => panic!("{other:?}"),
-        }
+        // 1060 B at 100G = 84.8 -> 85 ns, plus 1 us of propagation.
+        assert_eq!(
+            l.enqueue(at(0), MSS_WIRE),
+            EnqueueOutcome::Arrives(at(1085))
+        );
+        assert_eq!(l.queue_len(at(0)), 0);
     }
 
     #[test]
-    fn busy_link_queues_then_drops() {
+    fn busy_link_queues_back_to_back_then_drops() {
         let mut l = link();
-        assert!(matches!(
-            l.enqueue(PacketRef(0), MSS_WIRE),
-            EnqueueOutcome::StartTx(_)
-        ));
-        assert_eq!(l.enqueue(PacketRef(1), MSS_WIRE), EnqueueOutcome::Queued);
-        assert_eq!(l.enqueue(PacketRef(2), MSS_WIRE), EnqueueOutcome::Queued);
-        assert_eq!(l.enqueue(PacketRef(3), MSS_WIRE), EnqueueOutcome::Dropped);
+        assert_eq!(
+            l.enqueue(at(0), MSS_WIRE),
+            EnqueueOutcome::Arrives(at(1085))
+        );
+        assert_eq!(
+            l.enqueue(at(0), MSS_WIRE),
+            EnqueueOutcome::Arrives(at(1170))
+        );
+        assert_eq!(
+            l.enqueue(at(0), MSS_WIRE),
+            EnqueueOutcome::Arrives(at(1255))
+        );
+        assert_eq!(l.enqueue(at(0), MSS_WIRE), EnqueueOutcome::Dropped);
         assert_eq!(l.drops, 1);
-        assert_eq!(l.queue_len(), 2);
+        assert_eq!(l.queue_len(at(0)), 2);
+        // The first waiting packet starts at 85 ns: counted up to and
+        // including that instant, gone after it.
+        assert_eq!(l.queue_len(at(85)), 2);
+        assert_eq!(l.queue_len(at(86)), 1);
+        assert_eq!(l.queue_len(at(171)), 0);
     }
 
     #[test]
-    fn tx_done_drains_fifo() {
+    fn packet_starting_now_still_occupies_the_buffer() {
         let mut l = link();
-        l.enqueue(PacketRef(1), MSS_WIRE);
-        l.enqueue(PacketRef(2), 100 + 60);
-        let (sent, next) = l.tx_done();
-        assert_eq!(sent, PacketRef(1));
-        let ser_b = next.expect("second packet pending");
-        // 160 B at 100G = 12.8 -> 13 ns.
-        assert_eq!(ser_b.as_nanos(), 13);
-        let (sent2, next2) = l.tx_done();
-        assert_eq!(sent2, PacketRef(2));
-        assert!(next2.is_none());
-        // Link is idle again.
-        assert!(matches!(
-            l.enqueue(PacketRef(3), 61),
-            EnqueueOutcome::StartTx(_)
-        ));
+        l.enqueue(at(0), MSS_WIRE); // on the wire until 85
+        l.enqueue(at(0), MSS_WIRE); // starts at 85
+        l.enqueue(at(0), MSS_WIRE); // starts at 170
+                                    // At 85 the second packet is starting; under the tie rule it is
+                                    // still queued, so the buffer is full.
+        assert_eq!(l.enqueue(at(85), MSS_WIRE), EnqueueOutcome::Dropped);
+        // One nanosecond later it has left the buffer.
+        assert_eq!(
+            l.enqueue(at(86), MSS_WIRE),
+            EnqueueOutcome::Arrives(at(1340))
+        );
+    }
+
+    #[test]
+    fn link_goes_idle_after_the_last_tx_end() {
+        let mut l = link();
+        l.enqueue(at(0), MSS_WIRE);
+        // 160 B at 100G = 12.8 -> 13 ns, starting when the first ends.
+        assert_eq!(
+            l.enqueue(at(10), 100 + 60),
+            EnqueueOutcome::Arrives(at(1098))
+        );
+        // At exactly the tx end the link still counts as busy: the packet
+        // queues and starts at that instant, which times out the same.
+        assert_eq!(l.enqueue(at(98), 61), EnqueueOutcome::Arrives(at(1103)));
+        assert_eq!(l.enqueue(at(500), 61), EnqueueOutcome::Arrives(at(1505)));
+        assert_eq!(l.queue_len(at(500)), 0);
     }
 
     #[test]
@@ -221,32 +232,20 @@ mod tests {
         let mut l = link();
         // Healthy link: the draw is irrelevant.
         assert!(matches!(
-            l.enqueue_with_loss(PacketRef(0), MSS_WIRE, 0.0),
-            EnqueueOutcome::StartTx(_)
+            l.enqueue_with_loss(at(0), MSS_WIRE, 0.0),
+            EnqueueOutcome::Arrives(_)
         ));
-        l.tx_done();
         l.loss_rate = 0.01;
         assert_eq!(
-            l.enqueue_with_loss(PacketRef(1), MSS_WIRE, 0.005),
+            l.enqueue_with_loss(at(1000), MSS_WIRE, 0.005),
             EnqueueOutcome::Lost
         );
         assert_eq!(l.losses, 1);
         assert!(matches!(
-            l.enqueue_with_loss(PacketRef(2), MSS_WIRE, 0.5),
-            EnqueueOutcome::StartTx(_)
+            l.enqueue_with_loss(at(1000), MSS_WIRE, 0.5),
+            EnqueueOutcome::Arrives(_)
         ));
         // Loss drops never consume buffer space.
-        assert_eq!(l.queue_len(), 0);
-    }
-
-    #[test]
-    fn freed_buffer_accepts_again() {
-        let mut l = link();
-        l.enqueue(PacketRef(0), MSS_WIRE);
-        l.enqueue(PacketRef(1), MSS_WIRE);
-        l.enqueue(PacketRef(2), MSS_WIRE);
-        assert_eq!(l.enqueue(PacketRef(3), MSS_WIRE), EnqueueOutcome::Dropped);
-        l.tx_done(); // frees one queue slot
-        assert_eq!(l.enqueue(PacketRef(4), MSS_WIRE), EnqueueOutcome::Queued);
+        assert_eq!(l.queue_len(at(1000)), 0);
     }
 }

@@ -111,7 +111,7 @@ enum ToWorker {
         flows: Vec<FlowXfer>,
         moved: Vec<MovedEvent>,
     },
-    Snapshot { widx: usize },
+    Snapshot { at: SimTime },
     Finish,
 }
 
@@ -382,9 +382,8 @@ impl ShardedSimulation {
                                 rep.inject_migrated_flows(flows);
                                 rep.apply_boundary(&[], moved);
                             }
-                            ToWorker::Snapshot { widx } => {
-                                let _ =
-                                    tx_res.send(FromWorker::Snapshot(rep.shard_snapshot(widx)));
+                            ToWorker::Snapshot { at } => {
+                                let _ = tx_res.send(FromWorker::Snapshot(rep.shard_snapshot(at)));
                             }
                             ToWorker::Finish => break,
                         }
@@ -614,10 +613,8 @@ impl ShardedSimulation {
                     *last_block_time = (*last_block_time).max(se.time);
                     match se.payload {
                         Event::TelemetrySample => {
-                            let widx =
-                                (se.time.as_nanos() / driver.metrics.window_len_ns()) as usize;
                             for tx in &to_workers {
-                                tx.send(ToWorker::Snapshot { widx }).expect("worker alive");
+                                tx.send(ToWorker::Snapshot { at: se.time }).expect("worker alive");
                             }
                             let mut s = ShardSnapshot::default();
                             for rx in &from_workers {
@@ -786,6 +783,11 @@ impl ShardedSimulation {
         } else {
             self.exec_count
         }
+    }
+
+    /// Packet-hops, summed over the driver and every shard replica.
+    pub fn hops(&self) -> u64 {
+        self.driver.hops() + self.replicas.iter().map(|r| r.hops()).sum::<u64>()
     }
 
     /// Pending-event high-water mark, summed over the driver calendar

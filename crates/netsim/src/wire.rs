@@ -35,7 +35,6 @@ use crate::sim::Event;
 pub(crate) enum WireEvent {
     FlowStart(usize),
     UdpSend { flow: usize, idx: usize },
-    LinkFree(LinkId),
     LinkArrival { link: LinkId, pkt: Packet },
     RtoTimer { flow: usize, gen: u64 },
     GatewayDone { node: NodeId, pkt: Packet },

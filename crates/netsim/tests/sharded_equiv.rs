@@ -111,6 +111,7 @@ fn assert_equivalent_full(
         "trace streams must match byte-for-byte"
     );
     assert_eq!(oracle.events_executed(), sharded.events_executed());
+    assert_eq!(oracle.hops(), sharded.hops());
     assert_eq!(oracle.traffic_matrix(), &sharded.traffic_matrix());
     let sum_o = format!("{:?}", oracle.summary());
     let sum_s = format!("{:?}", sharded.summary());

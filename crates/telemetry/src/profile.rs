@@ -178,9 +178,13 @@ pub enum Phase {
     FlowStart,
     /// `UdpSend` handler dispatch.
     UdpSend,
-    /// `LinkFree` handler dispatch.
+    /// Retired: the transmitter-free event of the two-event link model.
+    /// Links now compute each packet's arrival in closed form at enqueue
+    /// and schedule no transmitter events, so this phase always reads 0.
+    /// The variant stays so reports and readers keep a stable taxonomy.
     LinkFree,
-    /// `LinkArrival` handler dispatch (the per-hop hot path).
+    /// `LinkArrival` handler dispatch (the per-hop hot path, including the
+    /// enqueue onto the next link).
     LinkArrival,
     /// `RtoTimer` handler dispatch.
     RtoTimer,

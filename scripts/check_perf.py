@@ -9,86 +9,66 @@ schema, internal counter consistency (the client's tallies must equal the
 server's own counters — a codec or accounting bug shows up here), steady
 table size, and a lookups/sec floor (default 500000).
 
-Both files are `sv2p-perfbench/v2` through `/v5` baselines (see
-EXPERIMENTS.md for the schema; v3 added the profiler columns, v4 retires
-`oracle_frac` for the conservative-PDES engine and adds `cut_exchange_frac`
-/ `window_count` / `cut_events`, with `peak_rss_bytes` measured per cell;
-v5 adds the memory columns `placed_vms` / `bytes_per_vm` / `mapping_bytes`
-and the million-VM `ft32-1m` tier).
-For every (workload, strategy, shards) cell present in both, the fresh run
-must reach at least MIN_RATIO (default 0.5) of the committed events/sec;
-otherwise the script prints the offending cells and exits 1. Committed
-cells absent from the fresh run are skipped (a `--shards 1` CI leg measures
-only the single-threaded rows of a baseline that also carries sharded
-rows), but at least one cell must be comparable.
+Both files are `sv2p-perfbench/v6` baselines (see EXPERIMENTS.md for the
+schema). For every (workload, strategy, shards) cell present in both, the
+fresh run's `wall_clock_s` must stay within 1/MIN_RATIO (default 0.5, so
+2x) of the committed one; otherwise the script prints the offending cells
+and exits 1. Committed cells absent from the fresh run are skipped (a
+`--shards 1` CI leg measures only the single-threaded rows of a baseline
+that also carries sharded rows, and a quick run lacks the `--huge` cell),
+but at least one cell must be comparable.
 
-The 0.5 floor is deliberately loose: CI runners are noisy and shared, so
-the gate only catches order-of-magnitude regressions (an accidental debug
-build, a hot-path data structure going quadratic), not few-percent drift.
+The gate is on time, not events/sec: every cell simulates the same
+workload, so wall-clock is the cost, while events/sec moves whenever the
+link model spends a different number of events per hop. The 0.5 floor is
+deliberately loose: CI runners are noisy and shared, so the gate only
+catches order-of-magnitude regressions (an accidental debug build, a
+hot-path data structure going quadratic), not few-percent drift.
 
-For v3/v4 fresh baselines the script additionally sanity-checks the engine
-self-profiler columns: every cell must carry the schema's fraction columns
-plus imbalance_cv / peak_rss_bytes, each fraction must lie in [0, 1], and
-the sharding-overhead fractions must sum to at most 1.05 (a little slack
-for clock skew between the outer run timer and the phase timers). v4
-baselines face two further gates: `peak_rss_bytes` must not be the same
-duplicated watermark across 3+ cells (the bug the per-cell watermark reset
-fixed — a monotone process-lifetime VmHWM masquerading as a per-cell
-measurement), and every sharded cell must reach speedup >= 1.0 over its
-single-threaded baseline row whenever the host has at least as many cores
-as the cell has shards. A host with fewer cores than the widest sharded
-cell gets a WARNING instead — speedup numbers from an oversubscribed host
-measure OS scheduling, not the engine — and the speedup gate is skipped.
+Both baselines additionally face column checks:
 
-v5 baselines additionally gate memory: every cell must carry sane
-`placed_vms` / `bytes_per_vm` / `mapping_bytes` columns (positive,
-internally consistent with `peak_rss_bytes`), any `ft32-1m` cell must stay
-at or below the hard 2048 bytes-per-VM ceiling from ROADMAP item 2, and —
-when both baselines are v5 — a fresh cell whose `bytes_per_vm` exceeds its
-committed counterpart by more than 25% fails the gate. Committed huge
-cells the fresh host lacked the RAM to run arrive simply as missing fresh
-cells and take the existing skip-WARNING path.
+- profiler columns: every fraction in [0, 1] and the sharding-overhead
+  fractions summing to at most 1.05 (slack for clock skew between the
+  outer run timer and the phase timers);
+- `hops` positive and `hops_per_sec` equal to `hops / wall_clock_s`;
+- sane memory columns (`placed_vms` / `bytes_per_vm` / `mapping_bytes`,
+  consistent with `peak_rss_bytes`), with any `ft32-1m` cell at or below
+  the hard 2048 bytes-per-VM ceiling.
+
+The fresh baseline also faces three gates: `peak_rss_bytes` may not be
+the same duplicated watermark across 3+ cells (a monotone process-lifetime
+VmHWM masquerading as a per-cell measurement); every sharded cell must
+reach speedup >= 1.0 over its single-threaded row whenever the host has at
+least as many cores as the cell has shards (an oversubscribed host gets a
+WARNING instead — there the number measures OS scheduling, not the
+engine); and no cell's `bytes_per_vm` may exceed its committed counterpart
+by more than 25%.
 """
 
 import json
 import sys
 
-SCHEMAS = (
-    "sv2p-perfbench/v2",
-    "sv2p-perfbench/v3",
-    "sv2p-perfbench/v4",
-    "sv2p-perfbench/v5",
-)
+SCHEMA = "sv2p-perfbench/v6"
 # imbalance_cv is a coefficient of variation, not a fraction of the run:
 # it is >= 0 but not bounded by 1 and never enters the phase-sum check.
-V3_FRAC_KEYS = ("oracle_frac", "barrier_frac", "merge_frac", "imbalance_cv")
-V3_SUM_KEYS = ("oracle_frac", "barrier_frac", "merge_frac")
-V4_FRAC_KEYS = ("barrier_frac", "merge_frac", "cut_exchange_frac", "imbalance_cv")
-V4_SUM_KEYS = ("barrier_frac", "merge_frac", "cut_exchange_frac")
+FRAC_KEYS = ("barrier_frac", "merge_frac", "cut_exchange_frac", "imbalance_cv")
+SUM_KEYS = ("barrier_frac", "merge_frac", "cut_exchange_frac")
+COUNT_KEYS = ("window_count", "cut_events")
 FRAC_SUM_CEILING = 1.05
-# v5 memory gates: the million-VM tier must hold the whole-process peak
-# RSS at or below 2 KB per placed VM (ROADMAP item 2), and no cell may
-# regress its bytes-per-VM footprint by more than 25% against the
-# committed baseline.
+# Memory gates: the million-VM tier must hold the whole-process peak RSS
+# at or below 2 KB per placed VM, and no cell may regress its bytes-per-VM
+# footprint by more than 25% against the committed baseline.
 HUGE_TOPOLOGY = "ft32-1m"
 BYTES_PER_VM_CEILING = 2048.0
 BYTES_PER_VM_MAX_GROWTH = 1.25
-V5_MEM_KEYS = ("placed_vms", "bytes_per_vm", "mapping_bytes")
-
-
-def is_v4_plus(doc):
-    return doc.get("schema") in ("sv2p-perfbench/v4", "sv2p-perfbench/v5")
-
-
-def is_v5(doc):
-    return doc.get("schema") == "sv2p-perfbench/v5"
+MEM_KEYS = ("placed_vms", "bytes_per_vm", "mapping_bytes")
 
 
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") not in SCHEMAS:
-        sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
+    if doc.get("schema") != SCHEMA:
+        sys.exit(f"{path}: unexpected schema {doc.get('schema')!r} (want {SCHEMA!r})")
     return doc
 
 
@@ -97,23 +77,27 @@ def cells(doc):
 
 
 def check_profile_columns(doc, path):
-    """v3/v4 sanity assertions on the fresh baseline's profiler columns."""
-    v4 = is_v4_plus(doc)
-    frac_keys = V4_FRAC_KEYS if v4 else V3_FRAC_KEYS
-    sum_keys = V4_SUM_KEYS if v4 else V3_SUM_KEYS
-    count_keys = ("window_count", "cut_events") if v4 else ()
+    """Sanity assertions on the profiler and hop columns."""
     failures = []
     for key, c in sorted(cells(doc).items()):
-        required = frac_keys + count_keys + ("peak_rss_bytes",)
+        required = FRAC_KEYS + COUNT_KEYS + ("peak_rss_bytes", "hops", "hops_per_sec")
         missing = [k for k in required if k not in c]
         if missing:
-            failures.append(f"{key}: missing profiler column(s) {missing}")
+            failures.append(f"{key}: missing column(s) {missing}")
             continue
-        for k in frac_keys:
+        if c["hops"] <= 0:
+            failures.append(f"{key}: hops={c['hops']} is not positive")
+        derived = c["hops"] / max(c["wall_clock_s"], 1e-9)
+        if abs(derived - c["hops_per_sec"]) > 0.01 * derived:
+            failures.append(
+                f"{key}: hops_per_sec={c['hops_per_sec']:.0f} disagrees with "
+                f"hops/wall_clock_s={derived:.0f}"
+            )
+        for k in FRAC_KEYS:
             lo, hi = (0.0, 1.0) if k != "imbalance_cv" else (0.0, float("inf"))
             if not (lo <= c[k] <= hi):
                 failures.append(f"{key}: {k}={c[k]} outside [{lo}, {hi}]")
-        total = sum(c[k] for k in sum_keys)
+        total = sum(c[k] for k in SUM_KEYS)
         if total > FRAC_SUM_CEILING:
             failures.append(
                 f"{key}: phase fractions sum to {total:.3f} "
@@ -125,11 +109,11 @@ def check_profile_columns(doc, path):
             print(f"  {f}", file=sys.stderr)
         sys.exit(1)
     n = len(doc["cells"])
-    print(f"profiler columns ok: {n} cell(s) carry sane phase fractions")
+    print(f"profiler columns ok: {n} cell(s) carry sane phase fractions and hop counts")
 
 
 def check_rss_watermarks(doc, path):
-    """v4: peak_rss_bytes must be per-cell, not a duplicated process-lifetime
+    """peak_rss_bytes must be per-cell, not a duplicated process-lifetime
     watermark. Three or more cells sharing one exact nonzero value is the
     signature of an unreset monotone VmHWM (distinct cells allocate distinct
     working sets; an exact byte-for-byte tie across 3+ is not plausible)."""
@@ -152,7 +136,7 @@ def check_rss_watermarks(doc, path):
 
 
 def check_speedups(doc, path):
-    """v4: on a host with enough cores, the conservative-PDES engine must
+    """On a host with enough cores, the conservative-PDES engine must
     beat its own single-threaded baseline (speedup >= 1.0). Oversubscribed
     hosts (cores < shards) are skipped with a WARNING — there the number
     measures OS scheduling, not the engine."""
@@ -187,7 +171,7 @@ def check_speedups(doc, path):
 
 
 def check_memory_columns(doc, path):
-    """v5: every cell must carry sane memory columns, and any cell on the
+    """Every cell must carry sane memory columns, and any cell on the
     million-VM topology must hold whole-process peak RSS at or below the
     hard 2048 bytes-per-VM ceiling. `bytes_per_vm` is recomputed from
     `peak_rss_bytes / placed_vms` and must agree with the recorded value —
@@ -196,7 +180,7 @@ def check_memory_columns(doc, path):
     failures = []
     huge_cells = 0
     for key, c in sorted(cells(doc).items()):
-        missing = [k for k in V5_MEM_KEYS if k not in c]
+        missing = [k for k in MEM_KEYS if k not in c]
         if missing:
             failures.append(f"{key}: missing memory column(s) {missing}")
             continue
@@ -242,10 +226,10 @@ def check_memory_columns(doc, path):
 
 
 def check_bytes_per_vm_regression(committed, fresh):
-    """v5 vs v5: a fresh cell may not exceed its committed bytes-per-VM by
+    """A fresh cell may not exceed its committed bytes-per-VM by
     more than BYTES_PER_VM_MAX_GROWTH. Returns a list of failure strings;
     cells missing from either side are simply not compared (the
-    events/sec loop already reports skips)."""
+    wall-clock loop already reports skips)."""
     failures = []
     for key, base in sorted(committed.items()):
         now = fresh.get(key)
@@ -358,14 +342,13 @@ def main():
             "not be refreshed from this machine.\n"
         )
 
-    if fresh_doc.get("schema") != "sv2p-perfbench/v2":
-        check_profile_columns(fresh_doc, sys.argv[2])
-        if is_v4_plus(fresh_doc):
-            check_rss_watermarks(fresh_doc, sys.argv[2])
-            check_speedups(fresh_doc, sys.argv[2])
-        if is_v5(fresh_doc):
-            check_memory_columns(fresh_doc, sys.argv[2])
-        print()
+    for doc, path in ((committed_doc, sys.argv[1]), (fresh_doc, sys.argv[2])):
+        print(f"{path}:")
+        check_profile_columns(doc, path)
+        check_memory_columns(doc, path)
+    check_rss_watermarks(fresh_doc, sys.argv[2])
+    check_speedups(fresh_doc, sys.argv[2])
+    print()
 
     compared = 0
     skipped = []
@@ -376,22 +359,23 @@ def main():
             skipped.append(key)
             continue
         compared += 1
-        ratio = now["events_per_sec"] / max(base["events_per_sec"], 1e-9)
-        status = "ok" if ratio >= min_ratio else "FAIL"
+        ratio = now["wall_clock_s"] / max(base["wall_clock_s"], 1e-9)
+        ceiling = 1.0 / min_ratio
+        status = "ok" if ratio <= ceiling else "FAIL"
         print(
             f"{status:4} {key[0]:<14} {key[1]:<10} x{key[2]:<2} "
-            f"{base['events_per_sec']:>12.0f} -> {now['events_per_sec']:>12.0f} ev/s "
-            f"({ratio:.2f}x, floor {min_ratio:.2f}x)"
+            f"{base['wall_clock_s']:>9.3f} -> {now['wall_clock_s']:>9.3f} s "
+            f"({ratio:.2f}x, ceiling {ceiling:.2f}x)  "
+            f"{now['hops_per_sec']:>11.0f} hops/s"
         )
-        if ratio < min_ratio:
+        if ratio > ceiling:
             failures.append(
-                f"{key}: {now['events_per_sec']:.0f} ev/s is below "
-                f"{min_ratio:.2f}x of committed {base['events_per_sec']:.0f} ev/s"
+                f"{key}: {now['wall_clock_s']:.3f} s is more than "
+                f"{ceiling:.2f}x the committed {base['wall_clock_s']:.3f} s"
             )
 
-    if is_v5(committed_doc) and is_v5(fresh_doc):
-        print()
-        failures.extend(check_bytes_per_vm_regression(committed, fresh))
+    print()
+    failures.extend(check_bytes_per_vm_regression(committed, fresh))
 
     if skipped:
         # An explicit block so baseline drift is visible in CI logs: every
