@@ -264,6 +264,7 @@ mod tests {
             payload: 0,
             switch_hops: 0,
             sent_ns: 0,
+            ts_echo_ns: 0,
             first_of_flow: false,
             visited_gateway: false,
         };

@@ -133,6 +133,7 @@ mod tests {
             payload: 10,
             switch_hops: 0,
             sent_ns: 0,
+            ts_echo_ns: 0,
             first_of_flow: false,
             visited_gateway: false,
         }

@@ -42,6 +42,7 @@ fn sample_packet() -> Packet {
         payload: 1000,
         switch_hops: 0,
         sent_ns: 0,
+        ts_echo_ns: 0,
         first_of_flow: false,
         visited_gateway: false,
     }

@@ -388,6 +388,7 @@ fn protocol_packet(kind: PacketKind, from: Pip, to: Pip, about: Vip) -> Packet {
         payload: 0,
         switch_hops: 0,
         sent_ns: 0,
+        ts_echo_ns: 0,
         first_of_flow: false,
         visited_gateway: false,
     }
@@ -477,6 +478,7 @@ mod tests {
             payload: 100,
             switch_hops: 0,
             sent_ns: 0,
+            ts_echo_ns: 0,
             first_of_flow: false,
             visited_gateway: false,
         }

@@ -369,6 +369,7 @@ pub fn decode(mut buf: Bytes) -> Result<Packet, WireError> {
         payload,
         switch_hops: 0,
             sent_ns: 0,
+            ts_echo_ns: 0,
         first_of_flow: false,
         visited_gateway: false,
     })
@@ -416,6 +417,7 @@ mod tests {
             payload: MSS,
             switch_hops: 3,
             sent_ns: 0,
+            ts_echo_ns: 0,
             first_of_flow: true,
             visited_gateway: false,
         }

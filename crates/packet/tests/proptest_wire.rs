@@ -77,6 +77,7 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                     payload,
                     switch_hops: 0,
                     sent_ns: 0,
+                    ts_echo_ns: 0,
                     first_of_flow: false,
                     visited_gateway: false,
                 }

@@ -4,7 +4,8 @@
 //! window-based TCP stands in:
 //!
 //! * [`TcpSender`] — slow start, congestion avoidance, NewReno-style fast
-//!   retransmit/recovery, RFC 6298 RTO with Karn's algorithm, configurable
+//!   retransmit/recovery with timestamp-based undo of spurious fast
+//!   retransmits, RFC 6298 RTO with Karn's algorithm, configurable
 //!   duplicate-ACK threshold (the paper leans on Linux's tolerance of up to
 //!   300 reordered packets, §4 — `TcpConfig::reorder_tolerant` mirrors that);
 //! * [`TcpReceiver`] — cumulative ACKing over an interval set, with
@@ -26,8 +27,8 @@
 //! let ops = tx.start(now);
 //! assert_eq!(ops.segments.len(), 3);
 //! for seg in &ops.segments {
-//!     let ack = rx.on_data(seg.seq, seg.len);
-//!     tx.on_ack(now, ack);
+//!     let ack = rx.on_data(seg.seq, seg.len, now);
+//!     tx.on_ack(now, ack, rx.ts_echo());
 //! }
 //! assert!(tx.is_complete());
 //! assert_eq!(rx.bytes_delivered, 2_500);

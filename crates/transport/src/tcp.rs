@@ -7,6 +7,13 @@
 //! the SYN's role for first-packet-latency measurements, as in the paper's
 //! traces), and the receive window is unbounded (32 MB switch buffers
 //! dominate, §5).
+//!
+//! ACKs carry a timestamp echo (the TSecr of RFC 7323's timestamp option):
+//! the send time of the data segment that last advanced the cumulative ACK.
+//! The sender uses it to detect a spurious fast retransmit (Eifel, RFC
+//! 3522) and to undo the window reduction (RFC 4015), as Linux does. Without
+//! it, one reordering-triggered fast retransmit turns every later partial
+//! ACK of the recovery into another needless retransmission.
 
 use std::collections::BTreeMap;
 
@@ -102,12 +109,26 @@ pub struct TcpSender {
     rtt_probe: Option<(u64, SimTime)>,
     /// Consecutive RTOs (exponential backoff).
     backoff: u32,
+    /// Armed by a fast retransmit until the next ACK of new data decides
+    /// whether it was spurious.
+    undo: Option<Undo>,
     /// Retransmissions performed (stats).
     pub retransmits: u64,
     /// Fast retransmits performed (stats).
     pub fast_retransmits: u64,
     /// Timeouts taken (stats).
     pub timeouts: u64,
+    /// Fast recoveries undone as spurious (stats).
+    pub spurious_recoveries: u64,
+}
+
+/// What a fast retransmit needs to undo itself: when it happened and the
+/// window it cut.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    retransmitted_at: SimTime,
+    cwnd: f64,
+    ssthresh: f64,
 }
 
 impl TcpSender {
@@ -129,9 +150,11 @@ impl TcpSender {
             rto: cfg.initial_rto,
             rtt_probe: None,
             backoff: 0,
+            undo: None,
             retransmits: 0,
             fast_retransmits: 0,
             timeouts: 0,
+            spurious_recoveries: 0,
         }
     }
 
@@ -163,8 +186,9 @@ impl TcpSender {
         ops
     }
 
-    /// Processes a cumulative ACK for byte `ack`.
-    pub fn on_ack(&mut self, now: SimTime, ack: u64) -> SenderOps {
+    /// Processes a cumulative ACK for byte `ack` whose timestamp echo is
+    /// `echo` (see [`TcpReceiver::ts_echo`]).
+    pub fn on_ack(&mut self, now: SimTime, ack: u64, echo: SimTime) -> SenderOps {
         let mut ops = SenderOps::default();
         if self.is_complete() {
             return ops;
@@ -178,6 +202,19 @@ impl TcpSender {
             self.una = ack;
             self.dupacks = 0;
             self.backoff = 0;
+
+            // Eifel: the first ACK of new data after a fast retransmit
+            // echoes the send time of the segment that filled the hole. If
+            // that predates the retransmission, the original got through
+            // (reordering, not loss): leave recovery with the old window.
+            if let Some(undo) = self.undo.take() {
+                if echo < undo.retransmitted_at {
+                    self.in_recovery = false;
+                    self.cwnd = undo.cwnd;
+                    self.ssthresh = undo.ssthresh;
+                    self.spurious_recoveries += 1;
+                }
+            }
 
             // RTT sample (Karn: only if the probe segment was not
             // retransmitted; probes are cleared on any retransmission).
@@ -223,6 +260,11 @@ impl TcpSender {
             } else if self.dupacks == self.cfg.dupack_threshold {
                 // Fast retransmit.
                 self.fast_retransmits += 1;
+                self.undo = Some(Undo {
+                    retransmitted_at: now,
+                    cwnd: self.cwnd,
+                    ssthresh: self.ssthresh,
+                });
                 self.in_recovery = true;
                 self.recover = self.next_seq;
                 self.ssthresh =
@@ -246,6 +288,7 @@ impl TcpSender {
         self.ssthresh = (self.in_flight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
         self.cwnd = self.cfg.mss as f64;
         self.in_recovery = false;
+        self.undo = None;
         self.dupacks = 0;
         // Exponential backoff, clamped.
         let backed_off = self.base_rto().saturating_mul(1 << self.backoff.min(6));
@@ -341,6 +384,9 @@ pub struct TcpReceiver {
     pub duplicate_segments: u64,
     /// Total payload bytes accepted exactly once.
     pub bytes_delivered: u64,
+    /// Send time of the segment that last advanced `rcv_nxt` (RFC 7323's
+    /// TS.Recent), echoed on every ACK.
+    ts_recent: SimTime,
 }
 
 impl TcpReceiver {
@@ -354,8 +400,14 @@ impl TcpReceiver {
         self.rcv_nxt
     }
 
-    /// Accepts a data segment; returns the cumulative ACK to emit.
-    pub fn on_data(&mut self, seq: u64, len: u32) -> u64 {
+    /// The timestamp echo to put on the ACK sent right now.
+    pub fn ts_echo(&self) -> SimTime {
+        self.ts_recent
+    }
+
+    /// Accepts a data segment that was sent at `sent`; returns the
+    /// cumulative ACK to emit.
+    pub fn on_data(&mut self, seq: u64, len: u32, sent: SimTime) -> u64 {
         let end = seq + len as u64;
         if end <= self.rcv_nxt {
             self.duplicate_segments += 1;
@@ -373,6 +425,10 @@ impl TcpReceiver {
         self.insert_range(start, end);
 
         // Advance rcv_nxt over any now-contiguous prefix.
+        if start == self.rcv_nxt {
+            // This segment moves the left edge: its send time is echoed.
+            self.ts_recent = sent;
+        }
         while let Some((&s, &e)) = self.ooo.first_key_value() {
             if s <= self.rcv_nxt {
                 if e > self.rcv_nxt {
@@ -434,8 +490,8 @@ mod tests {
             now += rtt;
             let mut next = Vec::new();
             for seg in pending.drain(..) {
-                let ack = rx.on_data(seg.seq, seg.len);
-                next.extend(tx.on_ack(now, ack).segments);
+                let ack = rx.on_data(seg.seq, seg.len, now);
+                next.extend(tx.on_ack(now, ack, rx.ts_echo()).segments);
             }
             pending = next;
             rounds += 1;
@@ -471,7 +527,7 @@ mod tests {
         // ACK the whole first window: cwnd should roughly double.
         let mut emitted = 0;
         for i in 1..=10u64 {
-            emitted += tx.on_ack(now, i * MSS).segments.len();
+            emitted += tx.on_ack(now, i * MSS, now).segments.len();
         }
         assert!(
             (18..=22).contains(&emitted),
@@ -488,7 +544,7 @@ mod tests {
         // Segment 0 lost; receiver dupacks at 0 for segments 1..=3.
         let mut rtx = Vec::new();
         for _ in 0..3 {
-            rtx.extend(tx.on_ack(now, 0).segments);
+            rtx.extend(tx.on_ack(now, 0, now).segments);
         }
         assert_eq!(tx.fast_retransmits, 1);
         assert!(rtx.iter().any(|s| s.seq == 0 && s.retransmit));
@@ -500,7 +556,7 @@ mod tests {
         let now = SimTime::ZERO;
         tx.start(now);
         for _ in 0..50 {
-            tx.on_ack(now, 0);
+            tx.on_ack(now, 0, now);
         }
         assert_eq!(tx.fast_retransmits, 0, "300-dupack profile fired early");
     }
@@ -539,26 +595,81 @@ mod tests {
             if i == 0 {
                 continue; // lost
             }
-            let ack = rx.on_data(seg.seq, seg.len);
-            pending.extend(tx.on_ack(now, ack).segments);
+            let ack = rx.on_data(seg.seq, seg.len, now);
+            pending.extend(tx.on_ack(now, ack, rx.ts_echo()).segments);
         }
         // 9 dupacks at 0 -> fast retransmit of seq 0 among pending.
         assert!(pending.iter().any(|s| s.seq == 0 && s.retransmit));
         for seg in pending {
-            let ack = rx.on_data(seg.seq, seg.len);
-            tx.on_ack(now, ack);
+            let ack = rx.on_data(seg.seq, seg.len, now);
+            tx.on_ack(now, ack, rx.ts_echo());
         }
         assert!(tx.is_complete());
         assert_eq!(rx.bytes_delivered, flow);
+        // The retransmission filled the hole, so the recovery was real.
+        assert_eq!(tx.spurious_recoveries, 0);
+    }
+
+    #[test]
+    fn reordered_hole_undoes_the_fast_retransmit() {
+        // Segment 0 is only late: segments 1..=3 overtake it, the third
+        // dupack fast-retransmits it, then the original arrives.
+        let mut tx = TcpSender::new(cfg(), 20 * MSS);
+        let mut rx = TcpReceiver::new();
+        let t0 = SimTime::ZERO;
+        let segs = tx.start(t0).segments;
+        let cwnd = tx.cwnd_bytes();
+        let t1 = t0 + SimDuration::from_micros(10);
+        for seg in &segs[1..=3] {
+            let ack = rx.on_data(seg.seq, seg.len, t0);
+            tx.on_ack(t1, ack, rx.ts_echo());
+        }
+        assert_eq!(tx.fast_retransmits, 1);
+        assert!(tx.cwnd_bytes() < cwnd, "fast retransmit cuts the window");
+
+        // The hole fills with the original, sent at t0 < t1: the ACK's
+        // echo proves the retransmission spurious.
+        let ack = rx.on_data(segs[0].seq, segs[0].len, t0);
+        assert_eq!(rx.ts_echo(), t0);
+        let t2 = t1 + SimDuration::from_micros(10);
+        let ops = tx.on_ack(t2, ack, rx.ts_echo());
+        assert_eq!(tx.spurious_recoveries, 1);
+        assert!(ops.segments.iter().all(|s| !s.retransmit));
+        assert!(tx.cwnd_bytes() >= cwnd, "the window cut is undone");
+        // Later ACKs below the old recovery point are not partial ACKs any
+        // more: they send new data, never another retransmission.
+        for seg in &segs[4..] {
+            let ack = rx.on_data(seg.seq, seg.len, t0);
+            let ops = tx.on_ack(t2, ack, rx.ts_echo());
+            assert!(ops.segments.iter().all(|s| !s.retransmit));
+        }
+        assert_eq!(tx.retransmits, 1);
+    }
+
+    #[test]
+    fn receiver_echoes_the_segment_that_moved_the_left_edge() {
+        let mut rx = TcpReceiver::new();
+        let at = SimTime::from_nanos;
+        rx.on_data(0, 1000, at(10));
+        assert_eq!(rx.ts_echo(), at(10));
+        // Out of order: the left edge stays, and so does the echo.
+        rx.on_data(2000, 1000, at(30));
+        assert_eq!(rx.ts_echo(), at(10));
+        // Filling the hole moves the edge past both segments.
+        assert_eq!(rx.on_data(1000, 1000, at(20)), 3000);
+        assert_eq!(rx.ts_echo(), at(20));
+        // A duplicate moves nothing.
+        rx.on_data(0, 1000, at(40));
+        assert_eq!(rx.ts_echo(), at(20));
     }
 
     #[test]
     fn receiver_handles_out_of_order_and_duplicates() {
         let mut rx = TcpReceiver::new();
-        assert_eq!(rx.on_data(1000, 1000), 0); // gap
+        assert_eq!(rx.on_data(1000, 1000, SimTime::ZERO), 0); // gap
         assert_eq!(rx.reordered_segments, 1);
-        assert_eq!(rx.on_data(0, 1000), 2000); // fills the hole
-        assert_eq!(rx.on_data(0, 1000), 2000); // pure duplicate
+        assert_eq!(rx.on_data(0, 1000, SimTime::ZERO), 2000); // fills the hole
+        assert_eq!(rx.on_data(0, 1000, SimTime::ZERO), 2000); // pure duplicate
         assert_eq!(rx.duplicate_segments, 1);
         assert_eq!(rx.bytes_delivered, 2000);
     }
@@ -566,11 +677,11 @@ mod tests {
     #[test]
     fn receiver_merges_overlapping_ranges() {
         let mut rx = TcpReceiver::new();
-        rx.on_data(3000, 1000);
-        rx.on_data(1000, 1000);
-        rx.on_data(1500, 2000); // overlaps both neighbors, bridges the gap
+        rx.on_data(3000, 1000, SimTime::ZERO);
+        rx.on_data(1000, 1000, SimTime::ZERO);
+        rx.on_data(1500, 2000, SimTime::ZERO); // overlaps both neighbors, bridges the gap
         assert_eq!(rx.ack_value(), 0);
-        assert_eq!(rx.on_data(0, 1000), 4000);
+        assert_eq!(rx.on_data(0, 1000, SimTime::ZERO), 4000);
         assert_eq!(rx.bytes_delivered, 4000);
     }
 
@@ -580,13 +691,13 @@ mod tests {
         let t0 = SimTime::ZERO;
         tx.start(t0);
         let t1 = t0 + SimDuration::from_micros(100);
-        tx.on_ack(t1, MSS);
+        tx.on_ack(t1, MSS, t0);
         // srtt = 100us, rttvar = 50us -> rto = 300us, clamped to min 500us.
         assert_eq!(tx.rto(), SimDuration::from_micros(500));
         // A slower network raises it above the clamp.
         let mut tx2 = TcpSender::new(cfg(), 100 * MSS);
         tx2.start(t0);
-        tx2.on_ack(t0 + SimDuration::from_micros(400), MSS);
+        tx2.on_ack(t0 + SimDuration::from_micros(400), MSS, t0);
         assert_eq!(tx2.rto(), SimDuration::from_micros(1200));
     }
 }

@@ -14,8 +14,8 @@ struct HostilePipe {
     rng: SimRng,
     loss: f64,
     dup: f64,
-    /// (deliver_at, segment) — not ordered; we scan for due ones.
-    in_flight: Vec<(SimTime, Segment)>,
+    /// (deliver_at, sent_at, segment) — not ordered; we scan for due ones.
+    in_flight: Vec<(SimTime, SimTime, Segment)>,
     base_delay: SimDuration,
     jitter_ns: u64,
 }
@@ -26,18 +26,21 @@ impl HostilePipe {
             return;
         }
         let jitter = SimDuration::from_nanos(self.rng.gen_range(0..=self.jitter_ns));
-        self.in_flight.push((now + self.base_delay + jitter, seg));
+        self.in_flight
+            .push((now + self.base_delay + jitter, now, seg));
         if self.rng.chance(self.dup) {
             let jitter2 = SimDuration::from_nanos(self.rng.gen_range(0..=self.jitter_ns));
-            self.in_flight.push((now + self.base_delay + jitter2, seg));
+            self.in_flight
+                .push((now + self.base_delay + jitter2, now, seg));
         }
     }
 
-    fn due(&mut self, now: SimTime) -> Vec<Segment> {
+    /// Segments due by `now`, with their send times.
+    fn due(&mut self, now: SimTime) -> Vec<(SimTime, Segment)> {
         let mut out = Vec::new();
-        self.in_flight.retain(|&(at, seg)| {
+        self.in_flight.retain(|&(at, sent, seg)| {
             if at <= now {
-                out.push(seg);
+                out.push((sent, seg));
                 false
             } else {
                 true
@@ -47,7 +50,7 @@ impl HostilePipe {
     }
 
     fn next_due(&self) -> Option<SimTime> {
-        self.in_flight.iter().map(|&(at, _)| at).min()
+        self.in_flight.iter().map(|&(at, _, _)| at).min()
     }
 }
 
@@ -70,7 +73,8 @@ fn drive(flow: u64, seed: u64, loss: f64, dup: f64, jitter_ns: u64) -> (TcpSende
         jitter_ns,
     };
     // ACKs ride a lossy pipe too.
-    let mut ack_pipe: VecDeque<(SimTime, u64)> = VecDeque::new();
+    // (deliver_at, ack, timestamp echo).
+    let mut ack_pipe: VecDeque<(SimTime, u64, SimTime)> = VecDeque::new();
     let mut ack_rng = SimRng::new(seed ^ 0xACAC);
 
     let mut now = SimTime::ZERO;
@@ -90,7 +94,7 @@ fn drive(flow: u64, seed: u64, loss: f64, dup: f64, jitter_ns: u64) -> (TcpSende
         if let Some(t) = data_pipe.next_due() {
             next = next.min(t);
         }
-        if let Some(&(t, _)) = ack_pipe.front() {
+        if let Some(&(t, _, _)) = ack_pipe.front() {
             next = next.min(t);
         }
         if let Some(t) = rto_deadline {
@@ -100,16 +104,16 @@ fn drive(flow: u64, seed: u64, loss: f64, dup: f64, jitter_ns: u64) -> (TcpSende
         now = next;
 
         // Deliver due segments to the receiver; emit (possibly lost) ACKs.
-        for seg in data_pipe.due(now) {
-            let ack = rx.on_data(seg.seq, seg.len);
+        for (sent, seg) in data_pipe.due(now) {
+            let ack = rx.on_data(seg.seq, seg.len, sent);
             if !ack_rng.chance(loss) {
-                ack_pipe.push_back((now + SimDuration::from_micros(6), ack));
+                ack_pipe.push_back((now + SimDuration::from_micros(6), ack, rx.ts_echo()));
             }
         }
         // Deliver due ACKs to the sender.
-        while ack_pipe.front().is_some_and(|&(t, _)| t <= now) {
-            let (_, ack) = ack_pipe.pop_front().unwrap();
-            let ops = tx.on_ack(now, ack);
+        while ack_pipe.front().is_some_and(|&(t, _, _)| t <= now) {
+            let (_, ack, echo) = ack_pipe.pop_front().unwrap();
+            let ops = tx.on_ack(now, ack, echo);
             for seg in &ops.segments {
                 data_pipe.send(now, *seg);
             }
@@ -176,8 +180,8 @@ proptest! {
             rng.shuffle(&mut pending);
             let mut next = Vec::new();
             for seg in pending.drain(..) {
-                let ack = rx.on_data(seg.seq, seg.len);
-                next.extend(tx.on_ack(now, ack).segments);
+                let ack = rx.on_data(seg.seq, seg.len, now);
+                next.extend(tx.on_ack(now, ack, rx.ts_echo()).segments);
             }
             pending = next;
             guard += 1;

@@ -48,6 +48,7 @@ fn total_blackout_recovers_via_backed_off_rtos() {
     let ops = tx.on_ack(
         now + sv2p_simcore::SimDuration::from_micros(10),
         3 * cfg.mss as u64,
+        now,
     );
     assert!(tx.is_complete());
     assert!(ops.segments.is_empty());
@@ -62,7 +63,7 @@ fn partial_loss_window_resumes_where_it_left_off() {
     assert!(sent > 0);
 
     // One MSS got through before the loss window; the rest vanished.
-    let _ = tx.on_ack(us(100), cfg.mss as u64);
+    let _ = tx.on_ack(us(100), cfg.mss as u64, SimTime::ZERO);
     let ops = tx.on_rto(us(1_500));
     assert_eq!(ops.segments[0].seq, cfg.mss as u64, "resumes at new una");
     assert!(ops.segments[0].retransmit);
@@ -73,7 +74,7 @@ fn partial_loss_window_resumes_where_it_left_off() {
     let mut guard = 0;
     while !tx.is_complete() {
         acked = (acked + cfg.mss as u64).min(20 * cfg.mss as u64);
-        let _ = tx.on_ack(now, acked);
+        let _ = tx.on_ack(now, acked, now);
         now += sv2p_simcore::SimDuration::from_micros(20);
         guard += 1;
         assert!(guard < 1000, "sender must converge after the fault");

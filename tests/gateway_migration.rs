@@ -130,6 +130,7 @@ fn reassigned_gateway_tor_changes_learning_behavior() {
         payload: 100,
         switch_hops: 0,
         sent_ns: 0,
+        ts_echo_ns: 0,
         first_of_flow: false,
         visited_gateway: true,
     };
