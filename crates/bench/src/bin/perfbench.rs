@@ -91,6 +91,26 @@ fn release_free_heap() {
     }
 }
 
+/// Pins glibc's mmap threshold at its 128 KiB default. Left dynamic, the
+/// threshold rises whenever a large mmapped block is freed, so whether a
+/// later cell's big vectors come from mmap or from the heap — and how much
+/// a heap realloc keeps resident while it copies — depends on every
+/// allocation before it, down to how the command line was parsed.
+fn pin_mmap_threshold() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        const M_MMAP_THRESHOLD: i32 = -3;
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        // SAFETY: glibc's `mallopt` takes no pointers; setting
+        // M_MMAP_THRESHOLD only changes where future allocations come from.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+        }
+    }
+}
+
 fn run_cell(
     spec: &ExperimentSpec,
     workload: &'static str,
@@ -221,6 +241,7 @@ fn mem_available_bytes() -> Option<u64> {
 }
 
 fn main() {
+    pin_mmap_threshold();
     let args = cli::init("perfbench");
     let scale = args.scale;
     let strategies = [

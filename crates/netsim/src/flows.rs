@@ -42,12 +42,19 @@ pub(crate) struct FlowState {
     pub tcp_tx: Option<TcpSender>,
     /// TCP receiver machine.
     pub tcp_rx: TcpReceiver,
-    /// Retransmission-timer generation: each arm bumps it, and a pending
-    /// `RtoTimer` event only fires if it still carries the current value.
-    /// A plain counter (rather than a `TimerWheel` handle) so the whole
-    /// timer state travels with the flow when a migration moves it to
-    /// another shard's replica.
+    /// Retransmission-timer generation: bumped whenever a new `RtoTimer`
+    /// event supersedes the live one (or completion disarms it), and a
+    /// pending `RtoTimer` only fires if it still carries the current value.
+    /// Plain values (rather than a `TimerWheel` handle) so the whole timer
+    /// state travels with the flow when a migration moves it to another
+    /// shard's replica.
     pub rto_gen: u64,
+    /// When the retransmission timer is due. Re-arming on each ACK only
+    /// moves this; the live event re-arms itself here if it fires early.
+    pub rto_deadline: SimTime,
+    /// Due time of the flow's one live `RtoTimer` event, if any. A new
+    /// event is scheduled only when a deadline falls before it.
+    pub rto_live: Option<SimTime>,
     /// Datagrams delivered so far (UDP completion tracking).
     pub udp_delivered: usize,
     /// Total datagrams in the UDP schedule.
@@ -69,6 +76,8 @@ impl FlowState {
             tcp_tx: None,
             tcp_rx: TcpReceiver::new(),
             rto_gen: 0,
+            rto_deadline: SimTime::ZERO,
+            rto_live: None,
             udp_delivered: 0,
             udp_total,
             completed: false,

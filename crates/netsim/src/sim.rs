@@ -422,11 +422,7 @@ impl Simulation {
         if self.profiler.enabled() {
             return self.run_until_profiled(horizon);
         }
-        while let Some(next) = self.events.peek_time() {
-            if next > horizon {
-                break;
-            }
-            let ev = self.events.pop().expect("peeked event");
+        while let Some(ev) = self.events.pop_until(horizon) {
             self.dispatch(ev.payload);
         }
     }
@@ -438,12 +434,11 @@ impl Simulation {
     /// sample at identical points).
     fn run_until_profiled(&mut self, horizon: SimTime) {
         let run_t0 = std::time::Instant::now();
-        while let Some(next) = self.events.peek_time() {
-            if next > horizon {
-                break;
-            }
+        loop {
             let t0 = std::time::Instant::now();
-            let ev = self.events.pop().expect("peeked event");
+            let Some(ev) = self.events.pop_until(horizon) else {
+                break;
+            };
             let t1 = std::time::Instant::now();
             let phase = Self::phase_of(&ev.payload);
             self.dispatch(ev.payload);
@@ -882,12 +877,21 @@ impl Simulation {
     }
 
     fn on_rto_timer(&mut self, flow: usize, gen: u64) {
-        // Lazy cancellation: every re-arm bumps the flow's generation, so
-        // a superseded timer event fires as a no-op.
-        if gen != self.flows[flow].rto_gen || self.flows[flow].completed {
+        // Lazy cancellation: a superseded timer event carries an old
+        // generation and fires as a no-op.
+        let now = self.now();
+        let f = &mut self.flows[flow];
+        if gen != f.rto_gen || f.completed {
             return;
         }
-        let now = self.now();
+        f.rto_live = None;
+        if f.rto_deadline > now {
+            // ACKs pushed the deadline on since this event was scheduled.
+            let deadline = f.rto_deadline;
+            f.rto_live = Some(deadline);
+            self.sched_at(deadline, Event::RtoTimer { flow, gen });
+            return;
+        }
         let ops = match self.flows[flow].tcp_tx.as_mut() {
             Some(tx) => tx.on_rto(now),
             None => return,
@@ -914,11 +918,19 @@ impl Simulation {
             let id = f.id;
             // Invalidate any pending retransmission timer.
             f.rto_gen += 1;
+            f.rto_live = None;
             self.m_flow_completed(id);
         } else if let Some(deadline) = ops.arm_rto {
-            f.rto_gen += 1;
-            let gen = f.rto_gen;
-            self.sched_at(deadline, Event::RtoTimer { flow, gen });
+            // One live timer event per flow: a later deadline only moves
+            // `rto_deadline`, and the live event re-arms itself there when
+            // it fires. Only an earlier deadline needs a new event.
+            f.rto_deadline = deadline;
+            if f.rto_live.is_none_or(|live| deadline < live) {
+                f.rto_gen += 1;
+                f.rto_live = Some(deadline);
+                let gen = f.rto_gen;
+                self.sched_at(deadline, Event::RtoTimer { flow, gen });
+            }
         }
     }
 
@@ -1881,6 +1893,8 @@ impl Simulation {
                     flow: i,
                     tcp_tx: f.tcp_tx.take(),
                     rto_gen: f.rto_gen,
+                    rto_deadline: f.rto_deadline,
+                    rto_live: f.rto_live,
                     completed: f.completed,
                 });
             }
@@ -1908,11 +1922,15 @@ impl Simulation {
                     flow,
                     tcp_tx,
                     rto_gen,
+                    rto_deadline,
+                    rto_live,
                     completed,
                 } => {
                     let f = &mut self.flows[flow];
                     f.tcp_tx = tcp_tx;
                     f.rto_gen = rto_gen;
+                    f.rto_deadline = rto_deadline;
+                    f.rto_live = rto_live;
                     f.completed = completed;
                 }
                 FlowXfer::Receiver {
@@ -2158,6 +2176,39 @@ mod tests {
             s.avg_first_packet_latency_us
         );
         assert_eq!(s.packets_dropped, 0);
+    }
+
+    #[test]
+    fn long_tcp_flow_keeps_one_live_rto_timer() {
+        // Every ACK of new data moves the retransmission deadline. With one
+        // live timer event per flow, a loss-free flow pops about one
+        // `RtoTimer` per RTO (never below `min_rto`) rather than one per
+        // ACK: the first arm, one re-arm per elapsed RTO, and the disarmed
+        // tail that fires as a no-op after completion.
+        let cfg = SimConfig {
+            profile: true,
+            ..SimConfig::default()
+        };
+        let ft = FatTreeConfig::scaled_ft8(2);
+        let mut sim = Simulation::new(cfg, &ft, &TestNoCache, 0, 4);
+        sim.add_flows([FlowSpec {
+            src_vm: 0,
+            dst_vm: sim.placement.len() - 1,
+            start: SimTime::ZERO,
+            kind: FlowKind::Tcp { bytes: 50_000_000 },
+        }]);
+        sim.run();
+        let s = sim.summary();
+        assert_eq!(s.flows_completed, 1, "{s:?}");
+        assert_eq!(s.retransmissions, 0, "the flow must be loss-free");
+        let fct_ns = (s.avg_fct_us * 1e3) as u64;
+        let min_rto = cfg.tcp.min_rto.as_nanos();
+        assert!(fct_ns > 8 * min_rto, "flow too short to re-arm: {fct_ns} ns");
+        let timers = sim.profiler().phase_calls(Phase::RtoTimer);
+        assert!(
+            timers <= fct_ns.div_ceil(min_rto) + 2,
+            "{timers} RtoTimer events over a {fct_ns} ns flow"
+        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub(crate) enum GlobalEvent {
 /// migration moved the flow's endpoint VM to a node another shard owns.
 ///
 /// A flow's mutable state lives only on the shard owning the relevant
-/// endpoint: the sender machine (`tcp_tx`, the RTO generation and, for
+/// endpoint: the sender machine (`tcp_tx`, the RTO timer state and, for
 /// TCP, the completion flag) evolves where ACKs are delivered — the source
 /// VM's host — while the receiver side (`tcp_rx`, and for UDP the delivery
 /// counter plus completion flag) evolves on the destination VM's host.
@@ -72,6 +72,8 @@ pub(crate) enum FlowXfer {
         flow: usize,
         tcp_tx: Option<TcpSender>,
         rto_gen: u64,
+        rto_deadline: SimTime,
+        rto_live: Option<SimTime>,
         completed: bool,
     },
     /// Receiver-side state, extracted from the destination VM's old shard.

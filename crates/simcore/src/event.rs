@@ -16,13 +16,16 @@
 //! are overwhelmingly near-future (link serializations, per-hop delays) and
 //! sorts only what is about to execute:
 //!
-//! * **ready** — a small binary heap holding just the events in the current
-//!   128 ns slot. Only these are ever compared, so the total `(time, seq)`
-//!   order among them is exact — this is what keeps pop order byte-identical
-//!   to the old global heap.
-//! * **wheel** — 8192 slots of 128 ns (≈1 ms horizon), each an *unsorted*
-//!   bucket, indexed by absolute slot number modulo the wheel size, with a
-//!   bitmap for O(words) next-occupied-slot scans. Scheduling is O(1).
+//! * **ready** — a small binary heap holding every event whose slot is at
+//!   or behind the cursor. Only these are ever compared, so the total
+//!   `(time, seq)` order among them is exact — this is what keeps pop order
+//!   byte-identical to the old global heap.
+//! * **wheel** — 8192 slots of 128 ns (≈1 ms horizon), indexed by absolute
+//!   slot number modulo the wheel size, with a bitmap for O(words)
+//!   next-occupied-slot scans. Each slot is an *unsorted* intrusive singly
+//!   linked list: a `u32` head (`NIL` when empty) into one node pool shared
+//!   by all slots. Scheduling is O(1): pop a node off the pool's LIFO free
+//!   list and push it on the slot's list.
 //! * **overflow** — a binary heap for the rare events beyond the horizon
 //!   (RTO-scale timers, pre-scheduled flow starts). Each migrates into the
 //!   wheel when the cursor comes within one rotation of it.
@@ -30,14 +33,27 @@
 //! Pop drains the ready heap; when it empties, the cursor jumps to the next
 //! occupied slot (or the earliest overflow event, whichever is sooner), any
 //! overflow events now within the horizon drop into the wheel, and the new
-//! slot's bucket is dumped into the ready heap. Because an event is only
-//! ever bucketed by a slot ≥ the cursor (scheduling into the past is
-//! clamped), every event is heapified exactly once, in its final slot.
+//! slot's list is walked into the ready heap, its nodes going back on the
+//! free list. Every event is heapified exactly once.
+//!
+//! Because the pool is shared, wheel memory tracks the wheel's *peak
+//! occupancy*. Per-slot vectors would each keep the capacity of the densest
+//! 128 ns they ever held — with hundreds of busy links landing one arrival
+//! per slot, that is 8192 × the densest slot, hundreds of MB on FT8, for a
+//! calendar whose live population is a few tens of thousands of events.
+//!
+//! [`EventQueue::pop_until`] fuses the horizon check with the pop, so a run
+//! loop never scans a slot for its minimum (as [`EventQueue::peek_key`]
+//! must) only to walk it again on the pop. It may leave the cursor on a
+//! slot whose events all lie past the horizon; the ready-heap invariant
+//! ("every event whose slot is ≤ the cursor") is what makes that safe: an
+//! event later scheduled behind the cursor goes straight into the ready
+//! heap, where it still sorts exactly.
 //!
 //! The old single-heap implementation survives as a `#[cfg(test)]` oracle;
 //! an equivalence proptest checks the two produce identical `(time, seq,
 //! payload)` pop sequences on random schedules, including same-timestamp
-//! ties and far-future overflow events.
+//! ties, far-future overflow events, horizon-bounded pops and extraction.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -91,6 +107,16 @@ const NSLOTS: u64 = 1 << SLOT_BITS;
 const SLOT_MASK: u64 = NSLOTS - 1;
 /// Bitmap words covering the wheel.
 const BITMAP_WORDS: usize = (NSLOTS / 64) as usize;
+/// Null node index: an empty slot list, or the end of a list.
+const NIL: u32 = u32::MAX;
+
+/// One wheel event in the shared node pool. `next` links the node into its
+/// slot's list, or into the free list while `ev` is `None`.
+#[derive(Debug)]
+struct Node<E> {
+    ev: Option<ScheduledEvent<E>>,
+    next: u32,
+}
 
 /// A deterministic discrete-event calendar.
 ///
@@ -101,15 +127,24 @@ const BITMAP_WORDS: usize = (NSLOTS / 64) as usize;
 ///   (in release it clamps to "now", which keeps long batch sweeps alive).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events in the current slot, fully ordered by `(time, seq)`.
+    /// Every event whose slot is ≤ the cursor, fully ordered by
+    /// `(time, seq)`.
     ready: BinaryHeap<ScheduledEvent<E>>,
-    /// Unsorted near-future buckets; index = absolute slot & `SLOT_MASK`.
-    slots: Vec<Vec<ScheduledEvent<E>>>,
-    /// One bit per wheel slot: bucket non-empty.
+    /// Head node of each wheel slot's list (`NIL` when empty); index =
+    /// absolute slot & `SLOT_MASK`.
+    heads: Box<[u32]>,
+    /// Node pool shared by all wheel slots; it grows to the wheel's peak
+    /// occupancy and no further.
+    nodes: Vec<Node<E>>,
+    /// Head of the pool's LIFO free list.
+    free: u32,
+    /// One bit per wheel slot: list non-empty.
     occupied: [u64; BITMAP_WORDS],
     /// Events at least one rotation ahead of the cursor.
     overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// Absolute slot number of `now` (not wrapped).
+    /// Absolute slot number (not wrapped) of the last slot opened into the
+    /// ready heap: `now`'s slot, or a later one after a `pop_until` or
+    /// `pop_before` that found nothing due.
     cursor: u64,
     /// Pending events across ready + wheel + overflow.
     pending: usize,
@@ -132,11 +167,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty calendar with pre-allocated capacity (spread over
-    /// the ready and overflow heaps; wheel buckets grow on demand).
+    /// the ready and overflow heaps; the wheel's node pool grows on
+    /// demand).
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             ready: BinaryHeap::with_capacity(cap / 2),
-            slots: (0..NSLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NSLOTS as usize].into_boxed_slice(),
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [0u64; BITMAP_WORDS],
             overflow: BinaryHeap::with_capacity(cap / 2),
             cursor: 0,
@@ -172,6 +210,16 @@ impl<E> EventQueue<E> {
     /// calendar's memory high-water mark, reported by run manifests).
     pub fn peak_len(&self) -> usize {
         self.peak_len
+    }
+
+    /// Heap bytes the calendar holds: the slot heads and bitmap, the node
+    /// pool and both heaps, at their allocated capacities.
+    pub fn resident_bytes(&self) -> usize {
+        self.heads.len() * std::mem::size_of::<u32>()
+            + std::mem::size_of_val(&self.occupied)
+            + self.nodes.capacity() * std::mem::size_of::<Node<E>>()
+            + (self.ready.capacity() + self.overflow.capacity())
+                * std::mem::size_of::<ScheduledEvent<E>>()
     }
 
     /// Where the pending events currently sit: `(ready, wheel, overflow)`.
@@ -211,30 +259,9 @@ impl<E> EventQueue<E> {
     /// Returns the sequence number, which uniquely identifies the scheduling
     /// (timers use it for lazy cancellation).
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < now {:?}",
-            self.now
-        );
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = ScheduledEvent {
-            time: at,
-            seq,
-            payload,
-        };
-        let slot = Self::slot_of(at);
-        debug_assert!(slot >= self.cursor, "slot behind the cursor");
-        if slot == self.cursor {
-            self.ready.push(ev);
-        } else if slot - self.cursor < NSLOTS {
-            self.put_in_wheel(slot, ev);
-        } else {
-            self.overflow.push(ev);
-        }
-        self.pending += 1;
-        self.peak_len = self.peak_len.max(self.pending);
+        self.schedule_at_seq(at, seq, payload);
         seq
     }
 
@@ -284,8 +311,9 @@ impl<E> EventQueue<E> {
             payload,
         };
         let slot = Self::slot_of(at);
-        debug_assert!(slot >= self.cursor, "slot behind the cursor");
-        if slot == self.cursor {
+        if slot <= self.cursor {
+            // At or behind the cursor (a `pop_until` may have opened a slot
+            // past `now`): the ready heap holds every such event.
             self.ready.push(ev);
         } else if slot - self.cursor < NSLOTS {
             self.put_in_wheel(slot, ev);
@@ -296,27 +324,50 @@ impl<E> EventQueue<E> {
         self.peak_len = self.peak_len.max(self.pending);
     }
 
+    /// Links `ev` into its slot's list, reusing a free node if any.
     #[inline]
     fn put_in_wheel(&mut self, slot: u64, ev: ScheduledEvent<E>) {
         let ring = (slot & SLOT_MASK) as usize;
-        self.slots[ring].push(ev);
+        let next = self.heads[ring];
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            let node = &mut self.nodes[idx as usize];
+            self.free = node.next;
+            node.ev = Some(ev);
+            node.next = next;
+            idx
+        } else {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "wheel node pool exceeds u32 indices"
+            );
+            let idx = self.nodes.len() as u32;
+            self.nodes.push(Node { ev: Some(ev), next });
+            idx
+        };
+        self.heads[ring] = idx;
         self.set_bit(ring);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.ready.is_empty() {
-            if self.pending == 0 {
-                return None;
-            }
-            self.advance();
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Pops the next event only if it is due at or before `horizon`;
+    /// otherwise returns `None` and leaves every pending event pending.
+    /// This is the run loop's fused peek-and-pop: the cursor opens at most
+    /// the horizon's slot, and the slot it opens is walked once, straight
+    /// into the ready heap.
+    pub fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
+        if !self.fill_ready(Self::slot_of(horizon)) {
+            return None;
         }
-        let ev = self.ready.pop().expect("advance refilled the ready heap");
-        debug_assert!(ev.time >= self.now, "calendar produced an out-of-order event");
-        self.pending -= 1;
-        self.now = ev.time;
-        self.popped += 1;
-        Some(ev)
+        let top = self.ready.peek().expect("fill_ready left an event");
+        if top.time > horizon {
+            return None;
+        }
+        Some(self.pop_ready())
     }
 
     /// Pops the next event only if its `(time, seq)` key is strictly below
@@ -326,26 +377,45 @@ impl<E> EventQueue<E> {
     /// only advances into slots at or before the boundary's slot, so
     /// boundary-time inserts arriving between windows never land behind it.
     pub fn pop_before(&mut self, bt: SimTime, bseq: u64) -> Option<ScheduledEvent<E>> {
-        if self.ready.is_empty() {
-            if self.pending == 0 {
-                return None;
-            }
-            let target = self.next_slot().expect("pending > 0 but no occupied slot");
-            if target > Self::slot_of(bt) {
-                return None;
-            }
-            self.advance_to(target);
+        if !self.fill_ready(Self::slot_of(bt)) {
+            return None;
         }
-        let top = self.ready.peek().expect("ready refilled or non-empty");
+        let top = self.ready.peek().expect("fill_ready left an event");
         if (top.time, top.seq) < (bt, bseq) {
-            let ev = self.ready.pop().expect("peeked");
-            self.pending -= 1;
-            self.now = ev.time;
-            self.popped += 1;
-            Some(ev)
+            Some(self.pop_ready())
         } else {
             None
         }
+    }
+
+    /// Ensures the ready heap holds the next event, opening the next
+    /// occupied slot if it is empty — unless nothing is pending or that
+    /// slot lies past `last_slot`. Returns whether the ready heap is
+    /// non-empty.
+    fn fill_ready(&mut self, last_slot: u64) -> bool {
+        if self.ready.is_empty() {
+            if self.pending == 0 {
+                return false;
+            }
+            let target = self.next_slot().expect("pending > 0 but no occupied slot");
+            if target > last_slot {
+                return false;
+            }
+            self.advance_to(target);
+        }
+        true
+    }
+
+    /// Pops the ready heap's top and advances the clock to it.
+    /// Precondition: ready non-empty.
+    #[inline]
+    fn pop_ready(&mut self) -> ScheduledEvent<E> {
+        let ev = self.ready.pop().expect("ready heap non-empty");
+        debug_assert!(ev.time >= self.now, "calendar produced an out-of-order event");
+        self.pending -= 1;
+        self.now = ev.time;
+        self.popped += 1;
+        ev
     }
 
     /// The absolute slot of the earliest non-ready event (wheel or
@@ -360,13 +430,6 @@ impl<E> EventQueue<E> {
             (None, Some(o)) => Some(o),
             (None, None) => None,
         }
-    }
-
-    /// Jumps the cursor to the next slot holding events and refills the
-    /// ready heap from it. Precondition: ready empty, `pending > 0`.
-    fn advance(&mut self) {
-        let target = self.next_slot().expect("pending > 0 but no occupied slot");
-        self.advance_to(target);
     }
 
     /// Moves the cursor to `target` and dumps that slot (plus any overflow
@@ -387,21 +450,26 @@ impl<E> EventQueue<E> {
                 self.put_in_wheel(slot, ev);
             }
         }
-        // Dump the target bucket; the bucket keeps its allocation for reuse.
+        // Walk the target slot's list into ready, freeing its nodes.
         let ring = (target & SLOT_MASK) as usize;
         if self.bit_is_set(ring) {
             self.clear_bit(ring);
-            let mut bucket = std::mem::take(&mut self.slots[ring]);
-            for ev in bucket.drain(..) {
+            let mut idx = std::mem::replace(&mut self.heads[ring], NIL);
+            while idx != NIL {
+                let node = &mut self.nodes[idx as usize];
+                let ev = node.ev.take().expect("listed node holds an event");
+                let next = node.next;
+                node.next = self.free;
+                self.free = idx;
                 self.ready.push(ev);
+                idx = next;
             }
-            self.slots[ring] = bucket;
         }
         debug_assert!(!self.ready.is_empty(), "advance chose an empty slot");
     }
 
     /// The next occupied wheel slot strictly after `cur`, as an absolute
-    /// slot number. The cursor's own bit is always clear (its bucket lives
+    /// slot number. The cursor's own bit is always clear (its events live
     /// in the ready heap), so a full circular scan is safe.
     fn next_occupied_after(&self, cur: u64) -> Option<u64> {
         let cur_ring = (cur & SLOT_MASK) as usize;
@@ -442,6 +510,19 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The events of wheel slot `ring`, in list order.
+    fn slot_events(&self, ring: usize) -> impl Iterator<Item = &ScheduledEvent<E>> {
+        let mut idx = self.heads[ring];
+        std::iter::from_fn(move || {
+            if idx == NIL {
+                return None;
+            }
+            let node = &self.nodes[idx as usize];
+            idx = node.next;
+            node.ev.as_ref()
+        })
+    }
+
     /// The timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.peek_key().map(|(t, _)| t)
@@ -462,12 +543,11 @@ impl<E> EventQueue<E> {
             Some(w) if over.is_none_or(|(t, _)| Self::slot_of(t) >= w) => {
                 // Earliest event is in wheel slot `w` (an overflow event in
                 // the same slot may still be sooner — compare keys).
-                let ring = (w & SLOT_MASK) as usize;
-                let bucket_min = self.slots[ring]
-                    .iter()
+                let bucket_min = self
+                    .slot_events((w & SLOT_MASK) as usize)
                     .map(|e| (e.time, e.seq))
                     .min()
-                    .expect("occupied bit set on an empty bucket");
+                    .expect("occupied bit set on an empty slot");
                 match over {
                     Some(k) if Self::slot_of(k.0) == w => Some(bucket_min.min(k)),
                     _ => Some(bucket_min),
@@ -497,16 +577,27 @@ impl<E> EventQueue<E> {
             if !self.bit_is_set(ring) {
                 continue;
             }
-            let bucket = &mut self.slots[ring];
-            let mut i = 0;
-            while i < bucket.len() {
-                if pred(&bucket[i].payload) {
-                    out.push(bucket.swap_remove(i));
+            // Unlink matching nodes; `prev` is the last kept node.
+            let mut prev = NIL;
+            let mut idx = self.heads[ring];
+            while idx != NIL {
+                let node = &mut self.nodes[idx as usize];
+                let next = node.next;
+                if pred(&node.ev.as_ref().expect("listed node holds an event").payload) {
+                    out.push(node.ev.take().expect("checked"));
+                    node.next = self.free;
+                    self.free = idx;
+                    if prev == NIL {
+                        self.heads[ring] = next;
+                    } else {
+                        self.nodes[prev as usize].next = next;
+                    }
                 } else {
-                    i += 1;
+                    prev = idx;
                 }
+                idx = next;
             }
-            if bucket.is_empty() {
+            if self.heads[ring] == NIL {
                 self.clear_bit(ring);
             }
         }
@@ -566,8 +657,35 @@ pub(crate) mod oracle {
             Some(ev)
         }
 
+        pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, payload: E) {
+            self.heap.push(ScheduledEvent {
+                time: at.max(self.now),
+                seq,
+                payload,
+            });
+        }
+
+        pub fn pop_until(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
+            if self.heap.peek()?.time > horizon {
+                return None;
+            }
+            self.pop()
+        }
+
+        pub fn extract_if(&mut self, mut pred: impl FnMut(&E) -> bool) -> Vec<ScheduledEvent<E>> {
+            let (mut out, keep): (Vec<_>, Vec<_>) =
+                std::mem::take(&mut self.heap).into_iter().partition(|e| pred(&e.payload));
+            self.heap = keep.into();
+            out.sort_by_key(|e| (e.time, e.seq));
+            out
+        }
+
         pub fn peek_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|e| e.time)
+        }
+
+        pub fn len(&self) -> usize {
+            self.heap.len()
         }
 
         pub fn now(&self) -> SimTime {
@@ -833,46 +951,160 @@ mod tests {
         assert_eq!(back, vec![21, 11, 13]);
     }
 
+    #[test]
+    fn pop_until_stops_at_the_horizon_and_accepts_behind_cursor_inserts() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(5), "a");
+        q.schedule_at(SimTime::from_nanos(1_000), "late"); // slot 7
+        assert_eq!(q.pop_until(SimTime::from_nanos(999)).unwrap().payload, "a");
+        // Opens slot 7 (the horizon's slot), finds "late" past the horizon.
+        assert!(q.pop_until(SimTime::from_nanos(999)).is_none());
+        assert_eq!(q.now(), SimTime::from_nanos(5));
+        // Slots 0..7 now lie behind the cursor; these must still pop first.
+        q.schedule_at(SimTime::from_nanos(300), "b");
+        q.schedule_at(SimTime::from_nanos(900), "c");
+        q.schedule_at(SimTime::from_nanos(1_000), "late2");
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(300)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_until(SimTime::MAX).map(|e| e.payload))
+            .collect();
+        assert_eq!(order, vec!["b", "c", "late", "late2"]);
+    }
+
+    #[test]
+    fn pop_until_never_opens_a_slot_past_the_horizon() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_micros(500), "far");
+        q.schedule_at(SimTime::from_millis(40), "overflow");
+        assert!(q.pop_until(SimTime::from_micros(10)).is_none());
+        assert_eq!(q.occupancy_breakdown(), (0, 1, 1));
+        assert_eq!(q.pop_until(SimTime::from_micros(500)).unwrap().payload, "far");
+        assert!(q.pop_until(SimTime::from_millis(39)).is_none());
+        assert_eq!(q.pop_until(SimTime::from_millis(40)).unwrap().payload, "overflow");
+        assert!(q.pop_until(SimTime::MAX).is_none());
+    }
+
+    #[test]
+    fn wheel_memory_tracks_pending_not_slot_history() {
+        // Bursts of 300 events per slot, every 16th slot, for 3 rotations:
+        // at most two bursts are pending at once, but 512 distinct slots
+        // each see 300 events. A per-slot bucket keeps its densest
+        // capacity forever (~6.5 MB here); the shared pool must stay within
+        // a constant factor of the peak population.
+        const BURST: u64 = 300;
+        const STRIDE: u64 = 16;
+        let slot_ns = 1u64 << SLOT_NS_SHIFT;
+        let mut q = EventQueue::new();
+        let mut payload = 0u64;
+        let mut popped = 0u64;
+        for step in 0..3 * NSLOTS / STRIDE {
+            let base = (step + 1) * STRIDE * slot_ns;
+            for i in 0..BURST {
+                q.schedule_at(SimTime::from_nanos(base + i % slot_ns), payload);
+                payload += 1;
+            }
+            // Drain everything due before this burst.
+            while q.pop_until(SimTime::from_nanos(base - 1)).is_some() {
+                popped += 1;
+            }
+        }
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, payload);
+        let fixed = NSLOTS as usize * std::mem::size_of::<u32>() + BITMAP_WORDS * 8;
+        let per_event = std::mem::size_of::<Node<u64>>();
+        let bound = fixed + 4 * q.peak_len() * per_event;
+        assert!(
+            q.resident_bytes() <= bound,
+            "calendar holds {} B for a peak of {} events (bound {bound} B)",
+            q.resident_bytes(),
+            q.peak_len()
+        );
+    }
+
     /// Replays one op tape against both calendars and compares every
-    /// observable: peek, pop sequence (time, seq, payload), now.
+    /// observable: peek, pop sequence (time, seq, payload), now, length.
+    ///
+    /// `op % 16` picks the operation: 0–1 pop, 2–4 `pop_until` a horizon
+    /// `delta` past now (followed, when it returns `None`, by a schedule
+    /// between now and that horizon — behind a cursor the failed pop may
+    /// have advanced), 5–6 `schedule_at_seq` under a tagged external seq,
+    /// 7 `extract_if` on a payload residue, otherwise `schedule_at`. The
+    /// shift `op / 16` spreads deltas from same-slot ties to far past the
+    /// wheel horizon.
     fn check_equivalence(ops: &[(u16, u8)]) {
+        const EXT: u64 = 1 << 62;
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
         let mut next_payload = 0u32;
+        let mut next_ext = 0u64;
         for &(offset, op) in ops {
-            if op % 4 == 0 {
-                // Pop from both; compare the full event identity.
-                let a = wheel.pop();
-                let b = heap.pop();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload));
-                        assert_eq!(wheel.now(), heap.now());
-                    }
-                    (a, b) => panic!("pop divergence: {a:?} vs {b:?}"),
+            // Shifted offsets reach from same-slot ties (shift 0) to far
+            // past the wheel horizon (65535 << 11 ≈ 134 ms).
+            let delta = (offset as u64) << ((op / 16) % 12);
+            let at = SimTime::from_nanos(wheel.now().as_nanos() + delta);
+            match op % 16 {
+                0 | 1 => {
+                    let (a, b) = (wheel.pop(), heap.pop());
+                    assert_same_event(a, b);
                 }
-            } else {
-                // Shifted offsets reach from same-slot ties (shift 0) to far
-                // past the wheel horizon (65535 << 11 ≈ 134 ms).
-                let delta = (offset as u64) << (op % 12);
-                let at = SimTime::from_nanos(wheel.now().as_nanos() + delta);
-                let sa = wheel.schedule_at(at, next_payload);
-                let sb = heap.schedule_at(at, next_payload);
-                assert_eq!(sa, sb);
-                next_payload += 1;
+                2..=4 => {
+                    let (a, b) = (wheel.pop_until(at), heap.pop_until(at));
+                    let missed = a.is_none();
+                    assert_same_event(a, b);
+                    if missed {
+                        let t = SimTime::from_nanos(
+                            wheel.now().as_nanos() + delta / (1 + offset as u64 % 4),
+                        );
+                        let sa = wheel.schedule_at(t, next_payload);
+                        let sb = heap.schedule_at(t, next_payload);
+                        assert_eq!(sa, sb);
+                        next_payload += 1;
+                    }
+                }
+                5 | 6 => {
+                    wheel.schedule_at_seq(at, EXT | next_ext, next_payload);
+                    heap.schedule_at_seq(at, EXT | next_ext, next_payload);
+                    next_ext += 1;
+                    next_payload += 1;
+                }
+                7 => {
+                    let m = 2 + (offset % 5) as u32;
+                    let r = (offset / 5) as u32 % m;
+                    let a = wheel.extract_if(|p| p % m == r);
+                    let b = heap.extract_if(|p| p % m == r);
+                    let key = |v: Vec<ScheduledEvent<u32>>| -> Vec<_> {
+                        v.into_iter().map(|e| (e.time, e.seq, e.payload)).collect()
+                    };
+                    assert_eq!(key(a), key(b));
+                }
+                _ => {
+                    let sa = wheel.schedule_at(at, next_payload);
+                    let sb = heap.schedule_at(at, next_payload);
+                    assert_eq!(sa, sb);
+                    next_payload += 1;
+                }
             }
+            assert_eq!(wheel.now(), heap.now());
+            assert_eq!(wheel.len(), heap.len());
             assert_eq!(wheel.peek_time(), heap.peek_time());
         }
         // Drain both to the end.
         loop {
             match (wheel.pop(), heap.pop()) {
                 (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload))
-                }
-                (a, b) => panic!("drain divergence: {a:?} vs {b:?}"),
+                (a, b) => assert_same_event(a, b),
             }
+        }
+    }
+
+    fn assert_same_event(a: Option<ScheduledEvent<u32>>, b: Option<ScheduledEvent<u32>>) {
+        match (a, b) {
+            (None, None) => {}
+            (Some(x), Some(y)) => {
+                assert_eq!((x.time, x.seq, x.payload), (y.time, y.seq, y.payload))
+            }
+            (a, b) => panic!("pop divergence: {a:?} vs {b:?}"),
         }
     }
 
@@ -880,13 +1112,13 @@ mod tests {
     fn equivalence_on_dense_ties() {
         // Many zero and tiny offsets: every tie-breaking path.
         let ops: Vec<(u16, u8)> = (0..400)
-            .map(|i| ((i % 3) as u16, (i % 7) as u8))
+            .map(|i| ((i % 3) as u16, (i % 11 + 16 * (i % 2)) as u8))
             .collect();
         check_equivalence(&ops);
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn wheel_matches_heap_oracle(

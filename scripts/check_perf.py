@@ -33,7 +33,7 @@ Both baselines additionally face column checks:
 - `hops` positive and `hops_per_sec` equal to `hops / wall_clock_s`;
 - sane memory columns (`placed_vms` / `bytes_per_vm` / `mapping_bytes`,
   consistent with `peak_rss_bytes`), with any `ft32-1m` cell at or below
-  the hard 2048 bytes-per-VM ceiling.
+  the hard 512 bytes-per-VM ceiling.
 
 The fresh baseline also faces three gates: `peak_rss_bytes` may not be
 the same duplicated watermark across 3+ cells (a monotone process-lifetime
@@ -56,10 +56,11 @@ SUM_KEYS = ("barrier_frac", "merge_frac", "cut_exchange_frac")
 COUNT_KEYS = ("window_count", "cut_events")
 FRAC_SUM_CEILING = 1.05
 # Memory gates: the million-VM tier must hold the whole-process peak RSS
-# at or below 2 KB per placed VM, and no cell may regress its bytes-per-VM
-# footprint by more than 25% against the committed baseline.
+# at or below 512 B per placed VM (the committed cell measures ~108
+# B/VM), and no cell may regress its bytes-per-VM footprint by more than
+# 25% against the committed baseline.
 HUGE_TOPOLOGY = "ft32-1m"
-BYTES_PER_VM_CEILING = 2048.0
+BYTES_PER_VM_CEILING = 512.0
 BYTES_PER_VM_MAX_GROWTH = 1.25
 MEM_KEYS = ("placed_vms", "bytes_per_vm", "mapping_bytes")
 
@@ -173,7 +174,7 @@ def check_speedups(doc, path):
 def check_memory_columns(doc, path):
     """Every cell must carry sane memory columns, and any cell on the
     million-VM topology must hold whole-process peak RSS at or below the
-    hard 2048 bytes-per-VM ceiling. `bytes_per_vm` is recomputed from
+    hard 512 bytes-per-VM ceiling. `bytes_per_vm` is recomputed from
     `peak_rss_bytes / placed_vms` and must agree with the recorded value —
     a mismatch means the columns were measured at different instants and
     the regression surface is not trustworthy."""
